@@ -118,54 +118,6 @@ class ShardSlice(SegmentIndex):
         return slice_
 
     # -- the claim rule ------------------------------------------------
-    def _candidates_columnar(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        counters: Optional[Counters],
-    ) -> Dict[int, FirstHit]:
-        """Columnar twin of :meth:`_candidates` — same claim rule, scanned
-        over the flat posting runs."""
-        candidates: Dict[int, FirstHit] = {}
-        rejected: set = set()
-        foreign: List[int] = []
-        q_ids = query.ranks
-        if not q_ids:
-            return candidates
-        limit = min(prefix_length(func, theta, query.size), len(q_ids))
-        lookups = ceded = 0
-        ranks_of = self._ranks
-        owned = self._owned
-        for v, start, end in self.partitioner.split_bounds(q_ids[:limit]):
-            if v not in owned:
-                foreign.extend(q_ids[start:end])
-                continue
-            postings = self._postings[v]
-            if postings._pending:
-                postings.seal()
-            slots = postings._slots
-            offsets = postings.offsets
-            rids = postings.rids
-            positions = postings.positions
-            for qpos in range(start, end):
-                lookups += 1
-                slot = slots.get(q_ids[qpos])
-                if slot is None:
-                    continue
-                for k in range(offsets[slot], offsets[slot + 1]):
-                    rid = rids[k]
-                    if rid in candidates or rid in rejected:
-                        continue
-                    if foreign and _any_rank_present(foreign, ranks_of[rid]):
-                        rejected.add(rid)
-                        ceded += 1
-                    else:
-                        candidates[rid] = (v, qpos, positions[k])
-        _bump(counters, "posting_lookups", lookups)
-        _bump(counters, "ceded_candidates", ceded)
-        return candidates
-
     def _candidates(
         self,
         query: EncodedQuery,
@@ -315,10 +267,29 @@ class ShardSlice(SegmentIndex):
             return super().probe_batch(
                 queries, theta, func, filters, counters, tracer
             )
+        # The base class's probe_encoded: this class's override would
+        # recurse back into probe_batch.
         return [
-            self.probe_encoded(query, theta, func, filters, counters, tracer)
+            SegmentIndex.probe_encoded(
+                self, query, theta, func, filters, counters, tracer
+            )
             for query in queries
         ]
+
+    def probe_encoded(
+        self,
+        query: EncodedQuery,
+        theta: float,
+        func: SimilarityFunction = SimilarityFunction.JACCARD,
+        filters: Optional[FilterConfig] = None,
+        counters: Optional[Counters] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> List[SearchHit]:
+        """One probe is a batch of one, so the columnar claim rule lives
+        in :meth:`_batch_candidates_columnar` only."""
+        return self.probe_batch(
+            [query], theta, func, filters, counters, tracer
+        )[0]
 
     # -- replica independence ------------------------------------------
     def clone(self) -> "ShardSlice":
@@ -468,27 +439,6 @@ class ShardNode:
         self.slice = slice_
 
     # -- serving -------------------------------------------------------
-    def probe(
-        self,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        filters: Optional[FilterConfig] = None,
-        tracer: Tracer = NOOP_TRACER,
-    ) -> List[SearchHit]:
-        """Serve one scatter leg; raises :class:`ShardDownError` if failed."""
-        # Serving checks the raw flags, not ping(): a replica whose health
-        # check lies (or is stubbed in tests) must still crash the probe so
-        # the router fails over instead of serving from a dead copy.
-        if not self.alive or self.fenced:
-            raise ShardDownError(f"{self.name} is {self._down_state()}")
-        if self.fault_hook is not None:
-            self.fault_hook(self)
-        self.counters.increment("cluster.node", "probes")
-        return self.slice.probe_encoded(
-            query, theta, func, filters, self.counters, tracer
-        )
-
     def probe_batch(
         self,
         queries: Sequence[EncodedQuery],
@@ -500,7 +450,10 @@ class ShardNode:
         """Serve one batched scatter leg (fragment-grouped on the columnar
         path, claim rule preserved); raises :class:`ShardDownError` if
         failed.  The fault hook fires once per batch — a crashed replica
-        loses the whole leg, exactly like a crashed single probe."""
+        loses the whole leg."""
+        # Serving checks the raw flags, not ping(): a replica whose health
+        # check lies (or is stubbed in tests) must still crash the probe so
+        # the router fails over instead of serving from a dead copy.
         if not self.alive or self.fenced:
             raise ShardDownError(f"{self.name} is {self._down_state()}")
         if self.fault_hook is not None:

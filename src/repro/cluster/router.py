@@ -1,27 +1,29 @@
 """Scatter-gather routing, admission control, failover and rebalancing.
 
-:class:`ClusterRouter` is the cluster's front door.  One ``search`` is:
+:class:`ClusterRouter` is the cluster's front door.  One batch of
+queries (a single ``search`` or ``search_partial`` is a batch of one) is:
 
 1. **Admission** — a bounded in-flight semaphore with a queue timeout;
-   when the cluster is saturated the request is shed with a typed
+   when the cluster is saturated the batch is shed with a typed
    :class:`~repro.errors.ClusterOverloadError` instead of queueing
    unboundedly (fail fast, the caller can retry elsewhere).
-2. **Routing** — the probe prefix is split at the shared pivots; only
-   shards owning at least one fragment the prefix touches are contacted
-   (V-SMART-Join's scatter discipline: never fan out to nodes that cannot
-   contribute a candidate).
-3. **Scatter** — each target shard is probed on one healthy replica
-   (round-robin across replicas, gated by a per-replica
-   :class:`~repro.cluster.failover.CircuitBreaker`).  A replica that
-   fails mid-probe feeds its breaker and the next replica is tried; when
-   a whole sweep fails the leg retries under the router's
+2. **Routing** — duplicate queries are dropped and each probe prefix is
+   split at the shared pivots; only shards owning at least one fragment
+   a prefix touches are contacted (V-SMART-Join's scatter discipline:
+   never fan out to nodes that cannot contribute a candidate).
+3. **Scatter** — each target shard serves all its queries in one batched
+   probe on one healthy replica (round-robin across replicas, gated by a
+   per-replica :class:`~repro.cluster.failover.CircuitBreaker`).  A
+   replica that fails mid-probe feeds its breaker and the next replica
+   is tried; when a whole sweep fails the leg retries under the router's
    :class:`~repro.cluster.failover.RetryPolicy` (exponential backoff,
    deterministic jitter) before declaring the shard unavailable.
    Breakers replace the old permanent-death failover: a crashed replica
    is skipped without contact while its breaker is OPEN, but once the
    reset timeout elapses a single half-open trial probe decides whether
    it rejoins rotation — so flapping replicas come back on their own.
-   Legs run serially by default or fanned out on the thread backend of
+   A slow leg may be hedged onto a backup replica.  Legs run serially by
+   default or fanned out on the thread backend of
    :mod:`repro.mapreduce.executors`.
 4. **Gather** — per-shard hit lists are concatenated and sorted.  No
    dedup pass is needed: the shard slices' claim rule (see
@@ -50,7 +52,7 @@ updated in place.  Search results are bit-identical before and after a
 migration (McCauley & Silvestri's adaptive-load argument, realised on the
 serving path).
 
-Every hop emits ``phase="cluster"`` spans (``cluster-search`` →
+Every hop emits ``phase="cluster"`` spans (``cluster-batch`` →
 ``route``/``shard-probe``/``merge``), with the slices' own
 ``phase="service"`` spans nested under each ``shard-probe``, so
 ``repro trace`` renders the full cross-shard request tree.
@@ -82,6 +84,7 @@ from repro.mapreduce.shuffle import stable_hash
 from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.index import EncodedQuery, SearchHit
+from repro.service.service import _finish
 from repro.service.vocab import TokenVocab
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.thresholds import prefix_length
@@ -156,7 +159,7 @@ class ClusterRouter:
         is shed with :class:`ClusterOverloadError`.  ``retry`` is the
         per-leg retry budget, ``breaker`` shapes the per-replica circuit
         breakers; ``hedge`` (default off) enables deadline-aware hedged
-        scatter on the batched probe path — see
+        scatter — see
         :class:`~repro.cluster.failover.HedgeConfig`; ``clock``/``sleep``
         are injectable so breaker timeouts, deadlines and backoff waits
         are testable (and chaos-replayable) without real time passing.
@@ -293,24 +296,27 @@ class ClusterRouter:
                     "detail": f"fragment digests diverge: {bad}",
                 }
         rids = sorted(peer.slice.rids())
-        for i in range(probes):
-            if not rids:
-                break
-            rid = rids[stable_hash(("verify", shard, replica, i)) % len(rids)]
-            query = EncodedQuery(tuple(peer.slice._ranks[rid]), 0)
-            for theta in (0.5, 0.8):
-                expected = peer.slice.probe_encoded(
-                    query, theta, SimilarityFunction.JACCARD, self.filters
-                )
-                got = node.slice.probe_encoded(
-                    query, theta, SimilarityFunction.JACCARD, self.filters
-                )
-                if got != expected:
+        sampled = [
+            rids[stable_hash(("verify", shard, replica, i)) % len(rids)]
+            for i in range(probes)
+        ] if rids else []
+        queries = [
+            EncodedQuery(tuple(peer.slice._ranks[rid]), 0) for rid in sampled
+        ]
+        for theta in (0.5, 0.8):
+            expected = peer.slice.probe_batch(
+                queries, theta, SimilarityFunction.JACCARD, self.filters
+            )
+            got = node.slice.probe_batch(
+                queries, theta, SimilarityFunction.JACCARD, self.filters
+            )
+            for rid, mine, theirs in zip(sampled, got, expected):
+                if mine != theirs:
                     return {
                         "ok": False,
                         "detail": (
                             f"probe rid={rid} theta={theta} diverges "
-                            f"({len(got)} vs {len(expected)} hits)"
+                            f"({len(mine)} vs {len(theirs)} hits)"
                         ),
                     }
         return {"ok": True, "detail": f"digests + {probes} probes match"}
@@ -335,13 +341,8 @@ class ClusterRouter:
                 f"readmission refused for {node.name}: {verdict['detail']}"
             )
         self._breakers[shard][replica].reset()
-        self.metrics.increment(ROUTE_GROUP, "readmissions")
-        self.tracer.add(
-            f"readmit:{node.name}", "recovery",
-            start=time.perf_counter(), duration=0.0,
-            action="readmit", shard=shard, replica=replica,
-            was_fenced=was_fenced, detail=str(verdict["detail"]),
-        )
+        self._recovery(self.tracer, "readmit", "readmissions", shard, node,
+                       was_fenced=was_fenced, detail=str(verdict["detail"]))
         return verdict
 
     def restore_replica(self, shard: int, replica: int,
@@ -579,15 +580,17 @@ class ClusterRouter:
         """Exact cluster-wide search; same contract as
         :meth:`repro.service.service.SimilarityService.search`.
 
+        A batch of one through :meth:`search_batch`, so a single probe
+        gets the same admission, failover, breakers and hedging.
         ``deadline`` (seconds of budget for the whole request, measured on
         the router's clock) turns a slow request into a typed
         :class:`DeadlineExceededError` instead of an unbounded wait.  Any
         unreachable shard fails the request (:class:`ClusterError`) — use
         :meth:`search_partial` to accept degraded answers instead."""
-        result = self._search(
-            tokens, theta, k, func, exclude, deadline, allow_partial=False
-        )
-        return list(result.hits)
+        return self.search_batch(
+            [tokens], theta, k=k, func=func, exclude=[exclude],
+            deadline=deadline,
+        )[0]
 
     def search_partial(
         self,
@@ -606,94 +609,20 @@ class ClusterRouter:
         missing shard and fragment ids).  Admission shedding and deadline
         overruns still raise — degraded means *partial coverage*, never
         silent failure."""
-        return self._search(
-            tokens, theta, k, func, exclude, deadline, allow_partial=True
+        (hits,), (missing,) = self._run_batch(
+            [tokens], theta, k, func, [exclude], deadline, None,
+            allow_partial=True,
         )
-
-    def _search(
-        self,
-        tokens: Iterable[str],
-        theta: float,
-        k: Optional[int],
-        func: SimilarityFunction,
-        exclude: Optional[int],
-        deadline: Optional[float],
-        allow_partial: bool,
-    ) -> PartialSearchResult:
-        func = SimilarityFunction(func)
-        # One clock for everything: deadlines, breakers and the latency
-        # histogram all read ``self._clock``, so injected (chaos) latency
-        # is visible in ``latency_info()`` — and shed or deadline-exceeded
-        # requests are recorded too, not just successes.
-        started = self._clock()
-        deadline_at = None if deadline is None else started + deadline
-        try:
-            if not self._admission.acquire(timeout=self.queue_timeout):
-                self.metrics.increment(ROUTE_GROUP, "shed")
-                raise ClusterOverloadError(
-                    f"cluster at max in-flight capacity; request shed after "
-                    f"{self.queue_timeout:.3f}s in queue"
-                )
-            try:
-                self._check_deadline(deadline_at)
-                query = self.encode_query(tokens)
-                with self.tracer.span(
-                    "cluster-search", phase="cluster", theta=theta,
-                    func=func.value, query_size=query.size,
-                ) as span:
-                    with self.tracer.span("route",
-                                          phase="cluster") as route_span:
-                        fragments = self.target_fragments(query, theta, func)
-                        targets = self._target_shards(fragments)
-                        route_span.attrs["fragments"] = len(fragments)
-                        route_span.attrs["shards"] = sorted(targets)
-                    self.metrics.increment(ROUTE_GROUP, "searches")
-                    self.metrics.increment(ROUTE_GROUP, "shards_probed",
-                                           len(targets))
-                    partials = self._scatter(
-                        targets, query, theta, func, deadline_at,
-                        allow_partial
-                    )
-                    ingest_leg = self._ingest_leg(query, theta, func,
-                                                  allow_partial)
-                    if ingest_leg is not None:
-                        partials.append(ingest_leg)
-                    # Heat is charged only now — after the scatter came
-                    # back — and only for shards that answered, so shed,
-                    # deadline-exceeded and all-replicas-down requests
-                    # never skew the rebalancer toward fragments that
-                    # served nothing.
-                    self._charge_heat(targets, partials)
-                    missing = [s for s, leg_hits in partials
-                               if leg_hits is None]
-                    with self.tracer.span("merge",
-                                          phase="cluster") as merge_span:
-                        hits = _gather(
-                            [leg_hits for _s, leg_hits in partials
-                             if leg_hits is not None]
-                        )
-                        merge_span.attrs["hits"] = len(hits)
-                    span.attrs["hits"] = len(hits)
-                    if missing:
-                        span.attrs["missing_shards"] = missing
-            finally:
-                self._admission.release()
-        finally:
-            self.latency.record(self._clock() - started)
-        if exclude is not None:
-            hits = [hit for hit in hits if hit.rid != exclude]
-        if k is not None:
-            hits = hits[: max(k, 0)]
         if missing:
             self.metrics.increment(ROUTE_GROUP, "partial_results")
-        missing_fragments = sorted(
-            fragment for shard in missing for fragment in targets.get(shard, ())
-        )
         return PartialSearchResult(
             hits=tuple(hits),
             complete=not missing,
             missing_shards=tuple(missing),
-            missing_fragments=tuple(missing_fragments),
+            missing_fragments=tuple(sorted(
+                fragment for fragments in missing.values()
+                for fragment in fragments
+            )),
         )
 
     def _ingest_leg(
@@ -701,18 +630,10 @@ class ClusterRouter:
         query: EncodedQuery,
         theta: float,
         func: SimilarityFunction,
-        allow_partial: bool,
-    ) -> Optional[Tuple[int, Optional[List[SearchHit]]]]:
-        """The write tier's scatter leg, as a ``(shard=-1, hits)`` pair.
-
-        ``None`` when no tier is attached or it holds no records (nothing
-        to contribute, not a degradation).  A down ingest node behaves
-        like a down shard: fail the request, or mark shard ``-1`` missing
-        in partial mode.
-        """
+    ) -> List[SearchHit]:
+        """The write tier's scatter leg for one query; a down ingest node
+        fails it with :class:`ClusterError`, like a down shard."""
         node = self._ingest
-        if node is None or not len(node.streaming):
-            return None
         with self.tracer.span(
             "ingest-probe", phase="cluster",
             records=len(node.streaming),
@@ -723,11 +644,9 @@ class ClusterRouter:
             except ShardDownError as exc:
                 span.attrs["status"] = "unavailable"
                 self.metrics.increment(ROUTE_GROUP, "ingest_unavailable")
-                if not allow_partial:
-                    raise ClusterError(f"ingest tier down: {exc}") from exc
-                return (IngestNode.shard_id, None)
+                raise ClusterError(f"ingest tier down: {exc}") from exc
             span.attrs["hits"] = len(hits)
-        return (IngestNode.shard_id, hits)
+        return hits
 
     def _check_deadline(self, deadline_at: Optional[float]) -> None:
         if deadline_at is not None and self._clock() >= deadline_at:
@@ -735,21 +654,6 @@ class ClusterRouter:
             raise DeadlineExceededError(
                 "request deadline exceeded before the cluster could answer"
             )
-
-    def _charge_heat(
-        self,
-        targets: Dict[int, List[int]],
-        partials: List[Tuple[int, Optional[List[SearchHit]]]],
-    ) -> None:
-        """Charge fragment heat for the shards whose leg answered."""
-        answered = {s for s, leg_hits in partials if leg_hits is not None}
-        if not answered:
-            return
-        with self._lock:
-            for shard, shard_fragments in targets.items():
-                if shard in answered:
-                    for fragment in shard_fragments:
-                        self._heat[fragment] = self._heat.get(fragment, 0) + 1
 
     def search_rid(
         self,
@@ -781,7 +685,8 @@ class ClusterRouter:
         it in one :meth:`~repro.cluster.node.ShardNode.probe_batch` call —
         the columnar fragment-grouped fast path, claim rule preserved.
         Results align with ``queries`` and are bit-identical to per-query
-        :meth:`search` calls.
+        :meth:`repro.service.index.SegmentIndex.probe` calls on the
+        unsharded index.
 
         ``exclude`` (parity with
         :meth:`~repro.service.service.SimilarityService.search_batch`) is
@@ -795,12 +700,36 @@ class ClusterRouter:
         per-tenant hedging rides this, and since hedging only picks
         *which replica answers*, any override keeps results bit-identical.
         """
+        results, _missing = self._run_batch(
+            queries, theta, k, func, exclude, deadline, hedge_delay,
+            allow_partial=False,
+        )
+        return results
+
+    def _run_batch(
+        self,
+        queries: Sequence[Iterable[str]],
+        theta: float,
+        k: Optional[int],
+        func: SimilarityFunction,
+        exclude: Optional[Sequence[Optional[int]]],
+        deadline: Optional[float],
+        hedge_delay: Optional[float],
+        allow_partial: bool,
+    ) -> Tuple[List[List[SearchHit]], List[Dict[int, List[int]]]]:
+        """Admit, scatter and trim one batch: the hit lists aligned with
+        ``queries`` and, per query, the shards that stayed unavailable
+        (only when ``allow_partial``) mapped to its fragments on them."""
         func = SimilarityFunction(func)
         if exclude is not None and len(exclude) != len(queries):
             raise ConfigError(
                 f"exclude must align with queries: got {len(exclude)} "
                 f"entries for {len(queries)} queries"
             )
+        # One clock for everything: deadlines, breakers and the latency
+        # histogram all read ``self._clock``, so injected (chaos) latency
+        # is visible in ``latency_info()`` — and shed or deadline-exceeded
+        # requests are recorded too, not just successes.
         started = self._clock()
         deadline_at = None if deadline is None else started + deadline
         try:
@@ -812,24 +741,19 @@ class ClusterRouter:
                 )
             try:
                 self._check_deadline(deadline_at)
-                merged = self._batch_scatter(queries, theta, func,
-                                             deadline_at, hedge_delay)
+                merged, missing = self._batch_scatter(
+                    queries, theta, func, deadline_at, hedge_delay,
+                    allow_partial,
+                )
             finally:
                 self._admission.release()
         finally:
             self.latency.record(self._clock() - started)
-        self._check_deadline(deadline_at)
-        results: List[List[SearchHit]] = []
-        for i, hits in enumerate(merged):
-            drop = exclude[i] if exclude is not None else None
-            if drop is not None:
-                hits = [hit for hit in hits if hit.rid != drop]
-            else:
-                hits = list(hits)
-            if k is not None:
-                hits = hits[: max(k, 0)]
-            results.append(hits)
-        return results
+        results = [
+            _finish(hits, k, exclude[i] if exclude is not None else None)
+            for i, hits in enumerate(merged)
+        ]
+        return results, missing
 
     def _batch_scatter(
         self,
@@ -837,10 +761,12 @@ class ClusterRouter:
         theta: float,
         func: SimilarityFunction,
         deadline_at: Optional[float],
-        hedge_delay: Optional[float] = None,
-    ) -> List[List[SearchHit]]:
+        hedge_delay: Optional[float],
+        allow_partial: bool,
+    ) -> Tuple[List[List[SearchHit]], List[Dict[int, List[int]]]]:
         """Dedupe, route, scatter shard-batched, gather — one merged hit
-        list per input query (order preserved, excludes/k not yet applied)."""
+        list per input query (order preserved, excludes/k not yet applied)
+        plus its missing shards (see :meth:`_run_batch`)."""
         encoded = [self.encode_query(tokens) for tokens in queries]
         # Dedup key must include n_unknown: unknown tokens change |q| and
         # with it prefix lengths and similarity denominators.
@@ -878,37 +804,85 @@ class ClusterRouter:
                 ROUTE_GROUP, "shards_probed",
                 sum(len(t) for t in per_query_targets),
             )
+
+            def answer(probe, *args):
+                """``probe(*args)``, or ``None`` for an unavailable shard
+                in partial mode.  Deadline overruns are not ClusterErrors:
+                a partial answer must still be a timely one."""
+                try:
+                    return probe(*args)
+                except ClusterError:
+                    if not allow_partial:
+                        raise
+                    return None
+
+            def leg(shard: int, tracer: Tracer):
+                return answer(
+                    self._probe_shard_batch, shard,
+                    [uniques[di] for di in shard_queries[shard]],
+                    theta, func, tracer, deadline_at, hedge_delay,
+                )
+
+            shards = sorted(shard_queries)
+            if self._executor is None or len(shards) <= 1:
+                answers = [leg(shard, self.tracer) for shard in shards]
+            else:
+                traced = self.tracer.enabled
+
+                def task(shard: int):
+                    tracer = Tracer() if traced else NOOP_TRACER
+                    return leg(shard, tracer), tracer.spans()
+
+                answers = []
+                # Adopted in shard-id order, like the runtime's
+                # task-index-order commit, so traces are deterministic
+                # across backends.
+                for hits, spans in create_executor(self._executor).run_tasks(
+                        task, shards):
+                    self.tracer.adopt(spans)
+                    answers.append(hits)
             legs_by_query: List[List[List[SearchHit]]] = [
                 [] for _ in uniques
             ]
-            for shard in sorted(shard_queries):
+            missing: List[Dict[int, List[int]]] = [{} for _ in uniques]
+            answered = set()
+            for shard, shard_hits in zip(shards, answers):
                 dis = shard_queries[shard]
-                shard_hits = self._probe_shard_batch(
-                    shard, [uniques[di] for di in dis], theta, func,
-                    self.tracer, deadline_at, hedge_delay,
-                )
+                if shard_hits is None:
+                    for di in dis:
+                        missing[di][shard] = per_query_targets[di][shard]
+                    continue
+                answered.add(shard)
                 for di, hits in zip(dis, shard_hits):
                     legs_by_query[di].append(hits)
             if self._ingest is not None and len(self._ingest.streaming):
                 for di, query in enumerate(uniques):
-                    leg = self._ingest_leg(query, theta, func,
-                                           allow_partial=False)
-                    if leg is not None:
-                        legs_by_query[di].append(leg[1])
-            # Every targeted shard answered (failures raised above), so
-            # each distinct query charges its fragments exactly once.
+                    hits = answer(self._ingest_leg, query, theta, func)
+                    if hits is None:
+                        missing[di][IngestNode.shard_id] = []
+                    else:
+                        legs_by_query[di].append(hits)
+            self._check_deadline(deadline_at)
+            # Heat is charged only now — after the scatter came back in
+            # time — and only for shards that answered, so shed,
+            # deadline-exceeded and all-replicas-down requests never skew
+            # the rebalancer toward fragments that served nothing.
             with self._lock:
                 for targets in per_query_targets:
-                    for shard_fragments in targets.values():
-                        for fragment in shard_fragments:
-                            self._heat[fragment] = (
-                                self._heat.get(fragment, 0) + 1
-                            )
+                    for shard, shard_fragments in targets.items():
+                        if shard in answered:
+                            for fragment in shard_fragments:
+                                self._heat[fragment] = (
+                                    self._heat.get(fragment, 0) + 1
+                                )
             with self.tracer.span("merge", phase="cluster") as merge_span:
                 merged = [_gather(legs) for legs in legs_by_query]
                 merge_span.attrs["hits"] = sum(len(m) for m in merged)
             span.attrs["hits"] = sum(len(m) for m in merged)
-        return [merged[di] for di in slots]
+            down = sorted({s for m in missing for s in m})
+            if down:
+                span.attrs["missing_shards"] = down
+        return [merged[di] for di in slots], [missing[di] for di in slots]
 
     def rids(self) -> List[int]:
         """All record ids indexed anywhere in the cluster, ascending."""
@@ -933,157 +907,6 @@ class ClusterRouter:
         raise DataError(f"no record with id {rid} in the cluster")
 
     # -- scatter internals ---------------------------------------------
-    def _scatter(
-        self,
-        targets: Dict[int, List[int]],
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        deadline_at: Optional[float],
-        allow_partial: bool,
-    ) -> List[Tuple[int, Optional[List[SearchHit]]]]:
-        """Per-shard ``(shard, hits)`` legs; ``hits is None`` marks a shard
-        that stayed unavailable in partial mode."""
-        shards = list(targets)
-        if not shards:
-            return []
-        if self._executor is None or len(shards) == 1:
-            return [
-                (shard,
-                 self._leg(shard, query, theta, func, self.tracer,
-                           deadline_at, allow_partial))
-                for shard in shards
-            ]
-        executor = create_executor(self._executor)
-        traced = self.tracer.enabled
-
-        def leg(shard: int):
-            tracer = Tracer() if traced else NOOP_TRACER
-            hits = self._leg(shard, query, theta, func, tracer,
-                             deadline_at, allow_partial)
-            return hits, tracer.spans()
-
-        outputs = executor.run_tasks(leg, shards)
-        partials: List[Tuple[int, Optional[List[SearchHit]]]] = []
-        # Adopted in shard-id order, like the runtime's task-index-order
-        # commit, so traces are deterministic across backends.
-        for shard, (hits, spans) in zip(shards, outputs):
-            partials.append((shard, hits))
-            self.tracer.adopt(spans)
-        return partials
-
-    def _leg(
-        self,
-        shard: int,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        tracer: Tracer,
-        deadline_at: Optional[float],
-        allow_partial: bool,
-    ) -> Optional[List[SearchHit]]:
-        """One scatter leg; in partial mode an unavailable shard yields
-        ``None`` instead of failing the whole request.  Deadline overruns
-        always propagate — a partial answer must still be a *timely* one."""
-        try:
-            return self._probe_shard(shard, query, theta, func, tracer,
-                                     deadline_at)
-        except DeadlineExceededError:
-            raise
-        except ClusterError:
-            if not allow_partial:
-                raise
-            return None
-
-    def _probe_shard(
-        self,
-        shard: int,
-        query: EncodedQuery,
-        theta: float,
-        func: SimilarityFunction,
-        tracer: Tracer,
-        deadline_at: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Probe one available replica of ``shard``, failing over as needed.
-
-        Replica order is round-robin from a per-shard cursor; a replica
-        whose breaker is OPEN is skipped without contact.  A failed ping or
-        mid-probe :class:`ShardDownError` feeds the replica's breaker and
-        moves on to the next replica.  When one full sweep finds no
-        answer, the sweep retries under :attr:`retry` (deterministic
-        backoff) before the shard is declared unavailable — one
-        ``unavailable`` count and one :class:`ClusterError` per request,
-        however many attempts were burned."""
-        group = self._groups[shard]
-        breakers = self._breakers[shard]
-        with self._lock:
-            start = self._cursor[shard] % len(group)
-            self._cursor[shard] += 1
-        last_error: Optional[ShardDownError] = None
-        for sweep in range(self.retry.max_retries + 1):
-            if sweep:
-                self._check_deadline(deadline_at)
-                self.metrics.increment(ROUTE_GROUP, "retries")
-                self._sleep(self.retry.backoff((shard, query.ranks), sweep - 1))
-            for offset in range(len(group)):
-                index = (start + offset) % len(group)
-                node = group[index]
-                breaker = breakers[index]
-                self._check_deadline(deadline_at)
-                if not breaker.allow():
-                    # OPEN (or a busy half-open trial): known bad, skip
-                    # without paying for a contact.
-                    self.metrics.increment(ROUTE_GROUP, "breaker_skipped")
-                    continue
-                if not node.ping():
-                    self._note_failure(breaker, shard, node, tracer)
-                    continue
-                with tracer.span(
-                    "shard-probe", phase="cluster", shard=shard,
-                    replica=node.replica_id,
-                ) as span:
-                    try:
-                        leg_started = self._clock()
-                        try:
-                            hits = node.probe(query, theta, func,
-                                              self.filters, tracer)
-                        finally:
-                            self.leg_latency.record(
-                                self._clock() - leg_started)
-                    except ShardDownError as exc:
-                        # Failed mid-probe (e.g. injected between ping and
-                        # probe): feed the breaker, try the next replica.
-                        span.attrs["status"] = "failed-over"
-                        self.metrics.increment(ROUTE_GROUP, "failovers")
-                        if tracer.enabled:
-                            tracer.add(
-                                f"failover:{node.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="failover", shard=shard,
-                                replica=node.replica_id,
-                            )
-                        self._note_failure(breaker, shard, node, tracer)
-                        last_error = exc
-                        continue
-                    if breaker.record_success():
-                        # A previously tripped replica answered its
-                        # half-open trial: it rejoins rotation.
-                        self.metrics.increment(ROUTE_GROUP, "breaker_closed")
-                        if tracer.enabled:
-                            tracer.add(
-                                f"breaker-close:{node.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="breaker-close", shard=shard,
-                                replica=node.replica_id,
-                            )
-                    span.attrs["hits"] = len(hits)
-                    return hits
-        self.metrics.increment(ROUTE_GROUP, "unavailable")
-        raise ClusterError(
-            f"shard {shard}: all {len(group)} replicas down"
-            + (f" ({last_error})" if last_error else "")
-        )
-
     def _probe_shard_batch(
         self,
         shard: int,
@@ -1096,9 +919,10 @@ class ClusterRouter:
     ) -> List[List[SearchHit]]:
         """Serve all of ``queries`` on one available replica of ``shard``.
 
-        Same failover discipline as :meth:`_probe_shard` — round-robin
-        cursor, breaker-gated replicas, retry sweeps with deterministic
-        backoff — but the whole query group rides one
+        Round-robin cursor, breaker-gated replicas (OPEN ones are skipped
+        without contact), retry sweeps with deterministic backoff, then
+        one ``unavailable`` count and one :class:`ClusterError` however
+        many attempts were burned.  The whole query group rides one
         :meth:`~repro.cluster.node.ShardNode.probe_batch` call.  With
         :attr:`hedge` configured and a second healthy replica available,
         a leg still unanswered after the rolling leg-latency p95 races a
@@ -1163,36 +987,18 @@ class ClusterRouter:
                     tracer.adopt(spans)
                     attempted_breaker = breakers[group.index(attempted)]
                     if hits is None:
-                        self.metrics.increment(ROUTE_GROUP, "failovers")
-                        if traced:
-                            tracer.add(
-                                f"failover:{attempted.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="failover", shard=shard,
-                                replica=attempted.replica_id,
-                            )
+                        self._recovery(tracer, "failover", "failovers",
+                                       shard, attempted)
                         self._note_failure(attempted_breaker, shard,
                                            attempted, tracer)
                         last_error = exc
                         continue
                     if attempted is not node:
-                        self.metrics.increment(ROUTE_GROUP, "hedge_wins")
-                        if traced:
-                            tracer.add(
-                                f"hedge-win:{attempted.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="hedge-win", shard=shard,
-                                replica=attempted.replica_id,
-                            )
+                        self._recovery(tracer, "hedge-win", "hedge_wins",
+                                       shard, attempted)
                     if attempted_breaker.record_success():
-                        self.metrics.increment(ROUTE_GROUP, "breaker_closed")
-                        if traced:
-                            tracer.add(
-                                f"breaker-close:{attempted.name}", "recovery",
-                                start=time.perf_counter(), duration=0.0,
-                                action="breaker-close", shard=shard,
-                                replica=attempted.replica_id,
-                            )
+                        self._recovery(tracer, "breaker-close",
+                                       "breaker_closed", shard, attempted)
                     result = hits
                 if result is not None:
                     return result
@@ -1264,6 +1070,18 @@ class ClusterRouter:
                 if outcome[1] is not None:
                     return outcomes
         return outcomes
+
+    def _recovery(self, tracer: Tracer, action: str, counter: str,
+                  shard: int, node: ShardNode, **attrs) -> None:
+        """Count one replica recovery event and mark it with a zero-length
+        ``phase="recovery"`` span."""
+        self.metrics.increment(ROUTE_GROUP, counter)
+        if tracer.enabled:
+            tracer.add(
+                f"{action}:{node.name}", "recovery",
+                start=time.perf_counter(), duration=0.0,
+                action=action, shard=shard, replica=node.replica_id, **attrs,
+            )
 
     def _note_failure(
         self, breaker: CircuitBreaker, shard: int, node: ShardNode,

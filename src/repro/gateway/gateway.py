@@ -58,6 +58,7 @@ from repro.observability.histogram import LatencyHistogram
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.service.cache import LRUCache
 from repro.service.index import SearchHit
+from repro.service.service import _finish
 from repro.similarity.functions import SimilarityFunction
 
 GATEWAY_GROUP = "gateway"
@@ -258,7 +259,7 @@ class SimilarityGateway:
                                                    tenant))
                 hits = await future
             self._check_deadline(deadline_at)
-            return _view(hits, k, exclude)
+            return _finish(hits, k, exclude)
         except ReproError as exc:
             status = type(exc).__name__
             raise
@@ -488,16 +489,3 @@ class SimilarityGateway:
                 start=time.perf_counter(), duration=0.0,
                 tenant=tenant, status=status,
             )
-
-
-def _view(
-    hits: List[SearchHit], k: Optional[int], exclude: Optional[int]
-) -> List[SearchHit]:
-    """The per-caller ``exclude``/``k`` view over a shared result."""
-    if exclude is not None:
-        hits = [hit for hit in hits if hit.rid != exclude]
-    else:
-        hits = list(hits)
-    if k is not None:
-        hits = hits[: max(k, 0)]
-    return hits

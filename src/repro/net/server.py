@@ -123,6 +123,36 @@ class _Connection:
         self.frames = 0
 
 
+def _token_list(value, field: str) -> List[str]:
+    """A payload field that must be a list of token strings."""
+    if not isinstance(value, list) or not all(
+        isinstance(token, str) for token in value
+    ):
+        raise ProtocolError(f"{field} must be a list of strings")
+    return value
+
+
+def _search_fields(payload: Dict) -> Tuple[float, SimilarityFunction,
+                                           Optional[int]]:
+    """The checked ``theta``/``func``/``k`` of a search payload; a bad
+    value is a :class:`ProtocolError`, so it gets one typed reply."""
+    theta = payload.get("theta")
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+        raise ProtocolError(f"theta must be a number, got {theta!r}")
+    func = payload.get("func", "jaccard")
+    try:
+        func = SimilarityFunction(func)
+    except ValueError:
+        raise ProtocolError(
+            f"unknown similarity function {func!r}"
+        ) from None
+    k = payload.get("k")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int)
+                          or k < 0):
+        raise ProtocolError(f"k must be null or an integer >= 0, got {k!r}")
+    return theta, func, k
+
+
 class GatewayServer:
     """An asyncio TCP server over one long-lived ``SimilarityGateway``."""
 
@@ -381,10 +411,10 @@ class GatewayServer:
     async def _dispatch(self, connection: _Connection, frame: Frame) -> Dict:
         payload = frame.payload
         if frame.kind == SEARCH:
+            theta, func, k = _search_fields(payload)
             hits = await self.gateway.search(
-                payload["tokens"], payload["theta"],
-                k=payload.get("k"),
-                func=SimilarityFunction(payload.get("func", "jaccard")),
+                _token_list(payload.get("tokens"), "tokens"), theta,
+                k=k, func=func,
                 tenant=connection.tenant,
                 exclude=payload.get("exclude"),
                 deadline=payload.get("deadline"),
@@ -397,21 +427,24 @@ class GatewayServer:
             # fan-out is capped at the tenant's own outstanding quota so
             # a large batch queues behind itself instead of shedding
             # itself — the quota still bites across frames.
+            theta, func, k = _search_fields(payload)
+            queries = payload.get("queries")
+            if not isinstance(queries, list):
+                raise ProtocolError("queries must be a list of token lists")
+            queries = [_token_list(tokens, "queries[]") for tokens in queries]
             quota = self.gateway.config.tenant(connection.tenant)
             gate = asyncio.Semaphore(max(1, quota.max_outstanding))
-            func = SimilarityFunction(payload.get("func", "jaccard"))
 
             async def one(tokens):
                 async with gate:
                     return await self.gateway.search(
-                        tokens, payload["theta"],
-                        k=payload.get("k"), func=func,
+                        tokens, theta, k=k, func=func,
                         tenant=connection.tenant,
                         deadline=payload.get("deadline"),
                     )
 
             results = await asyncio.gather(
-                *(one(tokens) for tokens in payload["queries"])
+                *(one(tokens) for tokens in queries)
             )
             return {"results": [hits_to_wire(hits) for hits in results]}
         # APPEND: routed straight to the cluster's ingest tier.

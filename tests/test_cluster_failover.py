@@ -11,6 +11,8 @@ fragment report) instead of failing or lying.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.chaos import ChaosClock
@@ -19,6 +21,7 @@ from repro.cluster.failover import (
     BreakerConfig,
     BreakerState,
     CircuitBreaker,
+    HedgeConfig,
     RetryPolicy,
 )
 from repro.errors import (
@@ -340,3 +343,27 @@ class TestDeadlines:
             router.search(tokens, self.THETA, deadline=100.0)
             == index.probe(tokens, self.THETA)
         )
+
+
+class TestSingleProbeHedging:
+    def test_stalled_replica_is_hedged_on_a_single_search(self):
+        """A single ``search`` rides the batched scatter, so a stalled
+        primary leg races a backup replica and the answer stays exact."""
+        records = random_collection(60, seed=41)
+        index = SegmentIndex.build(records, n_vertical=8)
+        router = build_cluster(
+            index, n_shards=3, replication=2,
+            hedge=HedgeConfig(min_delay=0.002, max_delay=0.01,
+                              min_observations=10_000),
+        )
+        tokens = list(records[0].tokens)
+        for shard in range(router.n_shards):
+            router.replica(shard, 0).fault_hook = (
+                lambda target: time.sleep(0.05)
+            )
+        expected = index.probe(tokens, 0.5)
+        for _ in range(2 * router.replication):
+            assert router.search(tokens, 0.5) == expected
+        route = router.metrics.group("cluster.route")
+        assert route.get("hedges", 0) >= 1
+        assert route.get("hedge_wins", 0) >= 1

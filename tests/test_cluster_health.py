@@ -209,8 +209,8 @@ class TestScrubber:
         node.fence()
         assert not node.ping()
         with pytest.raises(ShardDownError, match="fenced"):
-            node.probe(router.encode_query(records[0].tokens), 0.5,
-                       SimilarityFunction.JACCARD)
+            node.probe_batch([router.encode_query(records[0].tokens)], 0.5,
+                             SimilarityFunction.JACCARD)
 
     def test_scrub_epoch_advances_and_shows_in_status(self):
         records = make_corpus("wiki", 60, seed=2)

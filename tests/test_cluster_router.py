@@ -71,6 +71,20 @@ def assert_parity(router, index, corpus, theta, func):
         assert got == expected, (
             f"rid={record.rid} theta={theta} func={func.value}"
         )
+    # The batched scatter against the unsharded index: duplicate queries
+    # (with a different exclude than their first copy), exclude and k.
+    queries = [record.tokens for record in corpus]
+    queries += queries[:10]
+    exclude = [record.rid for record in corpus] + [None] * 10
+    for k in (None, 3):
+        got = router.search_batch(queries, theta, k=k, func=func,
+                                  exclude=exclude)
+        for tokens, drop, hits in zip(queries, exclude, got):
+            oracle = [hit for hit in index.probe(tokens, theta, func)
+                      if hit.rid != drop]
+            assert hits == oracle[:k], (
+                f"tokens={tokens} theta={theta} func={func.value} k={k}"
+            )
 
 
 class TestBitIdentity:
@@ -96,6 +110,35 @@ class TestBitIdentity:
         assert moves, "planted skew should trigger at least one migration"
         assert_parity(cluster, index, corpus, theta, func)
 
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("func", FUNCS, ids=lambda f: f.value)
+    def test_partial_answer_is_the_oracle_minus_the_down_shard(
+            self, cluster, index, corpus, theta, func):
+        down = 1
+        for r in range(cluster.replication):
+            cluster.replica(down, r).fail()
+        down_slice = cluster.replica(down, 0).slice
+        degraded = 0
+        for record in corpus:
+            query = cluster.encode_query(record.tokens)
+            on_down = cluster._target_shards(
+                cluster.target_fragments(query, theta, func)
+            ).get(down, [])
+            cluster.reset_heat()
+            partial = cluster.search_partial(record.tokens, theta, func=func)
+            oracle = index.probe(record.tokens, theta, func)
+            assert set(partial.hits) <= set(oracle)
+            (own,) = down_slice.probe_batch([query], theta, func)
+            assert sorted(partial.hits + tuple(own),
+                          key=lambda hit: (-hit.score, hit.rid)) == oracle
+            assert partial.complete == (not on_down)
+            assert partial.missing_shards == ((down,) if on_down else ())
+            assert partial.missing_fragments == tuple(sorted(on_down))
+            heat = cluster.fragment_heat()
+            assert not any(heat.get(fragment) for fragment in on_down)
+            degraded += bool(on_down)
+        assert degraded, "some query must route to the down shard"
+
     def test_novel_queries_match(self, cluster, index):
         service = SimilarityService(index, cache_size=0)
         queries = [
@@ -120,8 +163,8 @@ class TestBitIdentity:
             )
             seen: set = set()
             for shard, _frags in cluster._target_shards(fragments).items():
-                hits = cluster.replica(shard, 0).probe(
-                    query, 0.5, SimilarityFunction.JACCARD
+                (hits,) = cluster.replica(shard, 0).probe_batch(
+                    [query], 0.5, SimilarityFunction.JACCARD
                 )
                 rids = {hit.rid for hit in hits}
                 assert not (rids & seen)
@@ -374,10 +417,10 @@ class TestTracing:
         router.search(router.tokens_of(0), 0.5)
         spans = tracer.spans()
         names = {span.name for span in spans}
-        assert {"cluster-search", "route", "merge", "shard-probe"} <= names
+        assert {"cluster-batch", "route", "merge", "shard-probe"} <= names
         phases = {span.phase for span in spans}
         assert {"cluster", "service"} <= phases
-        root = next(s for s in spans if s.name == "cluster-search")
+        root = next(s for s in spans if s.name == "cluster-batch")
         children = [s for s in spans if s.parent_id == root.span_id]
         assert {"route", "merge"} <= {s.name for s in children}
 

@@ -34,11 +34,16 @@ from repro.mapreduce.hdfs import InMemoryDFS
 from repro.net import AsyncGatewayClient, GatewayClient, GatewayServer, ServerConfig
 from repro.net.protocol import (
     ERROR,
+    RESULT,
+    SEARCH,
+    SEARCH_BATCH,
+    Frame,
     FrameDecoder,
     encode_frame,
     hello_frame,
     hits_from_wire,
     search_frame,
+    status_frame,
 )
 from repro.observability.tracer import Tracer
 from repro.service.index import SegmentIndex
@@ -251,6 +256,45 @@ class TestTypedErrorsOverTheWire:
             assert frames and frames[0].kind == ERROR
             assert frames[0].payload["error"] == "ProtocolError"
             assert raw.recv(65536) == b"", "connection must drop"
+
+    @pytest.mark.parametrize("kind, payload", [
+        (SEARCH, {"tokens": ["a"], "theta": THETA, "func": "bogus"}),
+        (SEARCH, {"tokens": ["a"]}),
+        (SEARCH, {"tokens": ["a"], "theta": "x"}),
+        (SEARCH, {"tokens": "abc", "theta": THETA}),
+        (SEARCH, {"tokens": ["a"], "theta": THETA, "k": -1}),
+        (SEARCH, {"tokens": ["a"], "theta": THETA, "k": True}),
+        (SEARCH_BATCH, {"queries": [["a"]], "theta": THETA, "func": "bogus"}),
+        (SEARCH_BATCH, {"queries": [["a"]]}),
+        (SEARCH_BATCH, {"queries": "abc", "theta": THETA}),
+        (SEARCH_BATCH, {"queries": [["a"], "bc"], "theta": THETA}),
+        (SEARCH_BATCH, {"queries": [["a"]], "theta": THETA, "k": -1}),
+    ])
+    def test_malformed_search_payload_gets_one_typed_reply(
+            self, harness, kind, payload):
+        host, port = harness.address
+        before = harness.server.metrics.get("net", "request_errors")
+        with socket.create_connection((host, port), timeout=5.0) as raw:
+            raw.sendall(encode_frame(hello_frame(0, "t")))
+            decoder = FrameDecoder()
+            while not decoder.feed(raw.recv(65536)):
+                pass
+            # The status frame behind the bad one proves the bad one got
+            # exactly one reply: the next frame after it is the status.
+            raw.sendall(encode_frame(Frame(kind, 1, payload))
+                        + encode_frame(status_frame(2)))
+            frames = []
+            while len(frames) < 2:
+                data = raw.recv(65536)
+                assert data, "server dropped the connection"
+                frames.extend(decoder.feed(data))
+        error, status = sorted(frames, key=lambda f: f.request_id)
+        assert len(frames) == 2
+        assert (error.kind, error.request_id) == (ERROR, 1)
+        assert error.payload["error"] == "ProtocolError"
+        assert (status.kind, status.request_id) == (RESULT, 2)
+        assert harness.server.metrics.get(
+            "net", "request_errors") == before + 1
 
     def test_garbage_header_is_rejected_typed(self, harness):
         host, port = harness.address
